@@ -46,8 +46,12 @@ func BenchmarkTL2ReadOnly10(b *testing.B) {
 	}
 }
 
+// BenchmarkTL2ContendedCounter keeps the interleaving yields on
+// explicitly: every worker runs as thread 0, which the adaptive default
+// would read as one thread and run without them, and the committed
+// baseline row was recorded with them.
 func BenchmarkTL2ContendedCounter(b *testing.B) {
-	s := tl2.New(tl2.Options{})
+	s := tl2.New(tl2.Options{YieldEvery: 4})
 	v := tl2.NewVar(0)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

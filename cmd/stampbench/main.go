@@ -140,7 +140,7 @@ func main() {
 		case 1:
 			res.RenderTableI(out)
 		case 2:
-			harness.RenderTableII(out, threads)
+			res.RenderTableII(out)
 		case 3:
 			res.RenderTableIII(out)
 		case 4:

@@ -210,6 +210,11 @@ type ModeResult struct {
 	// Overload is the admission controller's counter snapshot after the
 	// mode's runs (zero value unless Experiment.Overload was set).
 	Overload overload.Stats
+	// Interleaving reports whether the STM's interleaving yields were
+	// on in any of the mode's runs (tl2.STM.Interleaving at run end):
+	// under the default tl2.Options.YieldEvery, only when the thread
+	// count exceeded GOMAXPROCS.
+	Interleaving bool
 }
 
 // ThreadStdDevs returns the per-thread execution-time standard
@@ -359,6 +364,7 @@ func (e Experiment) measureWith(ctrl *guide.Controller, learner *online.Learner)
 		res.Commits += s.Commits()
 		res.Aborts += s.Aborts()
 		res.ROCommits += s.ROCommits()
+		res.Interleaving = res.Interleaving || s.Interleaving()
 		ps := s.ProgressStats()
 		res.Progress.Escalations += ps.Escalations
 		res.Progress.DeadlineExceeded += ps.DeadlineExceeded

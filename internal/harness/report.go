@@ -128,19 +128,48 @@ func (r SuiteResult) RenderTableI(w io.Writer) {
 }
 
 // RenderTableII writes the experiment machine configuration (paper
-// Table II; here: the host the reproduction ran on).
-func RenderTableII(w io.Writer, threads []int) {
+// Table II; here: the host the reproduction ran on), including whether
+// the STM's interleaving yields were on at each swept thread count —
+// the regime the other tables' numbers were measured in.
+func (r SuiteResult) RenderTableII(w io.Writer) {
 	fmt.Fprintln(w, "TABLE II: CONFIGURATION OF MACHINE USED FOR EXPERIMENTS")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "Feature\tValue\n")
 	fmt.Fprintf(tw, "Logical CPUs\t%d\n", runtime.NumCPU())
 	fmt.Fprintf(tw, "GOMAXPROCS\t%d\n", runtime.GOMAXPROCS(0))
+	fmt.Fprint(tw, "Interleaving yields\t")
+	for i, th := range r.Threads {
+		if i > 0 {
+			fmt.Fprint(tw, ", ")
+		}
+		fmt.Fprintf(tw, "%d threads: %s", th, onOff(r.interleaving(th)))
+	}
+	fmt.Fprintln(tw)
 	fmt.Fprintf(tw, "GOOS/GOARCH\t%s/%s\n", runtime.GOOS, runtime.GOARCH)
 	fmt.Fprintf(tw, "Go version\t%s\n", runtime.Version())
-	fmt.Fprintf(tw, "Thread counts swept\t%v\n", threads)
+	fmt.Fprintf(tw, "Thread counts swept\t%v\n", r.Threads)
 	tw.Flush()
 	fmt.Fprintln(w, "(The paper used two x86 boxes: 2x4 cores @2.4GHz and 2x8 cores @2.7GHz;")
 	fmt.Fprintln(w, " worker goroutines stand in for pinned pthreads — see DESIGN.md.)")
+}
+
+// interleaving reports whether the default-mode runs at the given
+// thread count had the STM's interleaving yields on. Every mode at one
+// thread count runs under the same rule, and default mode always runs.
+func (r SuiteResult) interleaving(threads int) bool {
+	for _, byThreads := range r.Outcomes {
+		if byThreads[threads].Default.Interleaving {
+			return true
+		}
+	}
+	return false
+}
+
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
 }
 
 // RenderTableIII writes the model-size table (paper Table III).

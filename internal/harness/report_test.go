@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -68,9 +70,17 @@ func TestRendersContainExpectedHeaders(t *testing.T) {
 	}
 
 	b.Reset()
-	RenderTableII(&b, []int{2, 3})
+	res.RenderTableII(&b)
 	if !strings.Contains(b.String(), "TABLE II") || !strings.Contains(b.String(), "GOMAXPROCS") {
 		t.Errorf("Table II output: %q", b.String())
+	}
+	// The default YieldEvery yields only when the threads oversubscribe
+	// GOMAXPROCS; the table reports the regime each sweep ran in.
+	for _, th := range []int{2, 3} {
+		want := fmt.Sprintf("%d threads: %s", th, onOff(th > runtime.GOMAXPROCS(0)))
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("Table II output lacks %q: %q", want, b.String())
+		}
 	}
 
 	b.Reset()

@@ -90,12 +90,7 @@ func (s *STM) runEscalated(ctx context.Context, tx *Tx, fn func(*Tx) error) erro
 		}
 	}
 
-	tx.instance = s.instances.Add(1)
-	tx.invReads = tx.invReads[:0]
-	tx.writes = tx.writes[:0]
-	tx.ops = 0
-	tx.doomed.Store(false)
-	tx.killer.Store(0)
+	tx.reset()
 	tx.irrev = true
 	// An escalated attempt never runs certified: the serial path locks
 	// at encounter time and is always safe, and a stale roCert would

@@ -30,6 +30,7 @@ import (
 
 	"gstm/internal/effect"
 	"gstm/internal/fault"
+	"gstm/internal/interleave"
 	"gstm/internal/overload"
 	"gstm/internal/progress"
 	"gstm/internal/trace"
@@ -135,9 +136,12 @@ type Options struct {
 	// Defaults to 64 yields.
 	WaitSpin int
 	// YieldEvery inserts a scheduler yield every N transactional
-	// accesses, emulating multicore interleaving of critical sections
-	// on hosts with fewer cores than threads (see tl2.Options). 0 means
-	// the default (4); negative disables.
+	// accesses and once at commit entry, emulating multicore
+	// interleaving of critical sections on hosts with fewer cores than
+	// threads (see tl2.Options). 0 means the adaptive default: yield
+	// every 4 accesses only while the highest thread ID seen, plus one,
+	// exceeds GOMAXPROCS sampled at New (see internal/interleave and
+	// Interleaving). Positive always yields; negative never does.
 	YieldEvery int
 	// Inject, when non-nil, arms the deterministic fault-injection
 	// hooks in the commit path (fault.CommitAbort, fault.CommitDelay,
@@ -222,9 +226,6 @@ type Mutations struct {
 	SkipVersionBump bool
 }
 
-// defaultYieldEvery matches tl2's access interval between yields.
-const defaultYieldEvery = 4
-
 // DefaultEscalateAfter is the escalation abort threshold when
 // Options.EscalateAfter is zero (same value as tl2's).
 const DefaultEscalateAfter = 256
@@ -244,7 +245,10 @@ type Monitor interface {
 
 // STM is a LibTM transactional memory domain.
 type STM struct {
-	opts      Options
+	opts Options
+	// yields decides per attempt whether the YieldEvery interleaving
+	// yields are on (see internal/interleave).
+	yields    interleave.Policy
 	instances atomic.Uint64
 	commits   atomic.Uint64
 	aborts    atomic.Uint64
@@ -280,10 +284,8 @@ func New(opts Options) *STM {
 	if opts.WaitSpin <= 0 {
 		opts.WaitSpin = 64
 	}
-	if opts.YieldEvery == 0 {
-		opts.YieldEvery = defaultYieldEvery
-	}
 	s := &STM{opts: opts}
+	s.yields.Init(opts.YieldEvery)
 	s.ro = effect.NewROSet(opts.Manifest)
 	s.escThreshold.Store(configuredThreshold(opts.EscalateAfter))
 	if opts.WatchdogWindow >= 0 {
@@ -353,6 +355,10 @@ func (s *STM) yield() {
 	}
 	runtime.Gosched()
 }
+
+// Interleaving reports whether attempts starting now insert the
+// YieldEvery interleaving yields; same contract as tl2's.
+func (s *STM) Interleaving() bool { return s.yields.On() }
 
 // Commits returns the number of committed transactions.
 func (s *STM) Commits() uint64 { return s.commits.Load() }
@@ -458,8 +464,11 @@ type Tx struct {
 	doomed atomic.Bool
 	killer atomic.Uint64
 
-	// ops counts transactional accesses for YieldEvery interleaving.
-	ops int
+	// ops counts transactional accesses for YieldEvery interleaving;
+	// yielding caches the attempt's interleaving decision, made once
+	// per attempt by reset.
+	ops      int
+	yielding bool
 	// done is the AtomicCtx context's Done channel (nil = no deadline).
 	done <-chan struct{}
 	// roCert marks an attempt running under a certified-readonly
@@ -487,16 +496,33 @@ func (tx *Tx) ctxDone() bool {
 }
 
 // maybeYield emulates multicore interleaving of transactional code on
-// under-provisioned hosts (see Options.YieldEvery).
+// under-provisioned hosts (see Options.YieldEvery). It is split so the
+// no-yield fast path inlines into Read and Write.
 func (tx *Tx) maybeYield() {
-	ye := tx.stm.opts.YieldEvery
-	if ye <= 0 {
-		return
+	if tx.yielding {
+		tx.yieldEvery()
 	}
+}
+
+func (tx *Tx) yieldEvery() {
 	tx.ops++
-	if tx.ops%ye == 0 {
+	if tx.ops%tx.stm.yields.Every() == 0 {
 		tx.stm.yield()
 	}
+}
+
+// reset prepares the descriptor for a new attempt of tx.pair. Both
+// attempt-start paths (atomicCtx, and through it AtomicBatch, plus
+// runEscalated) go through here, so this is where the thread is
+// registered with the interleaving policy.
+func (tx *Tx) reset() {
+	tx.instance = tx.stm.instances.Add(1)
+	tx.invReads = tx.invReads[:0]
+	tx.writes = tx.writes[:0]
+	tx.ops = 0
+	tx.yielding = tx.stm.yields.Enter(tx.pair.Thread)
+	tx.doomed.Store(false)
+	tx.killer.Store(0)
 }
 
 // Pair returns the (transaction, thread) identity of the attempt.
@@ -682,7 +708,7 @@ func (tx *Tx) commit() {
 	// Suspension point between body and commit protocol (see
 	// Options.YieldEvery): guarantees overlap windows for short
 	// transactions on under-provisioned hosts.
-	if tx.stm.opts.YieldEvery > 0 {
+	if tx.yielding {
 		tx.stm.yield()
 	}
 	if inj := tx.stm.opts.Inject; inj != nil {
@@ -880,12 +906,7 @@ func (s *STM) atomicCtx(ctx context.Context, tx *Tx, fn func(*Tx) error, t0 time
 		if gb := s.gate.Load(); gb != nil {
 			gb.g.Admit(tx.pair)
 		}
-		tx.instance = s.instances.Add(1)
-		tx.invReads = tx.invReads[:0]
-		tx.writes = tx.writes[:0]
-		tx.ops = 0
-		tx.doomed.Store(false)
-		tx.killer.Store(0)
+		tx.reset()
 		tx.mon = s.monLoad()
 		if tx.mon != nil {
 			tx.mon.OnTxBegin(tx.instance, tx.pair)

@@ -40,6 +40,7 @@ func putTx(tx *Tx) {
 	tx.instance = 0
 	tx.pair = tts.Pair{}
 	tx.ops = 0
+	tx.yielding = false
 	tx.batch = 0
 	tx.invReads = tx.invReads[:0]
 	tx.writes = tx.writes[:0]

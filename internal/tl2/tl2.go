@@ -31,6 +31,7 @@ import (
 
 	"gstm/internal/effect"
 	"gstm/internal/fault"
+	"gstm/internal/interleave"
 	"gstm/internal/overload"
 	"gstm/internal/progress"
 	"gstm/internal/trace"
@@ -149,12 +150,16 @@ type Options struct {
 	// Defaults to 500ns; doubles per consecutive abort up to 64x.
 	BackoffBase time.Duration
 	// YieldEvery inserts a scheduler yield every N transactional
-	// accesses. On hosts with fewer cores than worker threads this
-	// emulates the instruction-level interleaving of critical sections
-	// that true multicore parallelism produces (and that the paper's
-	// pinned-thread testbeds exhibit); without it, goroutines on a
-	// single P run whole transactions atomically and conflicts vanish.
-	// 0 means the default (4); negative disables yielding.
+	// accesses and once at commit entry. On hosts with fewer cores than
+	// worker threads this emulates the instruction-level interleaving
+	// of critical sections that true multicore parallelism produces
+	// (and that the paper's pinned-thread testbeds exhibit); without
+	// it, goroutines on a single P run whole transactions atomically
+	// and conflicts vanish. 0 means the adaptive default: yield every 4
+	// accesses only while the highest thread ID seen, plus one, exceeds
+	// GOMAXPROCS sampled at New, and not at all otherwise (see
+	// internal/interleave and Interleaving). Positive always yields;
+	// negative never does.
 	YieldEvery int
 	// Inject, when non-nil, arms the deterministic fault-injection
 	// hooks in the commit path (fault.CommitAbort, fault.CommitDelay,
@@ -253,9 +258,6 @@ type Mutations struct {
 	SkipShardPublish bool
 }
 
-// defaultYieldEvery is the access interval between scheduler yields.
-const defaultYieldEvery = 4
-
 // DefaultEscalateAfter is the abort threshold for irrevocable
 // escalation when Options.EscalateAfter is zero. High enough that
 // ordinary contention never reaches it; a transaction that aborts this
@@ -268,9 +270,6 @@ func (o *Options) fill() {
 	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 500 * time.Nanosecond
-	}
-	if o.YieldEvery == 0 {
-		o.YieldEvery = defaultYieldEvery
 	}
 }
 
@@ -291,6 +290,9 @@ type STM struct {
 	cm        atomic.Pointer[cmBox]
 	mon       atomic.Pointer[monBox]
 	opts      Options
+	// yields decides per attempt whether the YieldEvery interleaving
+	// yields are on (see internal/interleave).
+	yields interleave.Policy
 
 	irrevocable irrevocableState
 
@@ -321,6 +323,7 @@ type monBox struct{ m Monitor }
 func New(opts Options) *STM {
 	opts.fill()
 	s := &STM{opts: opts}
+	s.yields.Init(opts.YieldEvery)
 	s.ro = effect.NewROSet(opts.Manifest)
 	s.escThreshold.Store(configuredThreshold(opts.EscalateAfter))
 	if opts.WatchdogWindow >= 0 {
@@ -393,6 +396,12 @@ func (s *STM) yield() {
 	runtime.Gosched()
 }
 
+// Interleaving reports whether attempts starting now insert the
+// YieldEvery interleaving yields: always for a positive YieldEvery,
+// never for a negative one, and under the default only once a thread
+// ID at or above GOMAXPROCS (sampled at New) has run a transaction.
+func (s *STM) Interleaving() bool { return s.yields.On() }
+
 // Commits returns the total number of committed transactions. Certified
 // read-only commits are counted in roCommits only (one atomic add on
 // the fast path instead of two) and folded in here.
@@ -464,8 +473,9 @@ type Tx struct {
 	// grows beyond linear-scan comfort.
 	writeIdx map[*Var]int
 	// ops counts transactional accesses for YieldEvery interleaving;
-	// yielding caches opts.YieldEvery > 0 so maybeYield's off switch
-	// inlines into Read and Write.
+	// yielding caches the attempt's interleaving decision (made once
+	// per attempt by reset) so maybeYield's off switch inlines into
+	// Read and Write and the commit-entry yield keys on the same flag.
 	ops      int
 	yielding bool
 	// done is the AtomicCtx context's Done channel (nil when the call
@@ -506,7 +516,7 @@ func (tx *Tx) ctxDone() bool {
 
 // maybeYield emulates multicore interleaving of transactional code on
 // under-provisioned hosts (see Options.YieldEvery).
-// maybeYield is split so the YieldEvery<=0 fast path stays under the
+// maybeYield is split so the no-yield fast path stays under the
 // inlining budget: with interleaving off, Read and Write pay one flag
 // load and a branch here instead of a function call.
 func (tx *Tx) maybeYield() {
@@ -517,17 +527,21 @@ func (tx *Tx) maybeYield() {
 
 func (tx *Tx) yieldEvery() {
 	tx.ops++
-	if tx.ops%tx.stm.opts.YieldEvery == 0 {
+	if tx.ops%tx.stm.yields.Every() == 0 {
 		tx.stm.yield()
 	}
 }
 
 const writeIdxThreshold = 64
 
+// reset prepares the descriptor for a new attempt of tx.pair. Every
+// attempt-start path (atomicCtx, and through it AtomicBatch, plus
+// runEscalated) goes through here, so this is where the thread is
+// registered with the interleaving policy.
 func (tx *Tx) reset(instance uint64) {
 	tx.instance = instance
 	tx.ops = 0
-	tx.yielding = tx.stm.opts.YieldEvery > 0
+	tx.yielding = tx.stm.yields.Enter(tx.pair.Thread)
 	tx.reads = tx.reads[:0]
 	tx.writes = tx.writes[:0]
 	tx.ilocked = tx.ilocked[:0]
@@ -673,7 +687,7 @@ func (tx *Tx) commit() {
 	// A suspension point between the transaction body and the commit
 	// protocol: even two-access transactions overlap with concurrent
 	// committers here, as they do under true parallelism.
-	if tx.stm.opts.YieldEvery > 0 {
+	if tx.yielding {
 		tx.stm.yield()
 	}
 	if inj := tx.stm.opts.Inject; inj != nil {

@@ -34,7 +34,10 @@
 # its speedup relative to the same benchmark's 1-core row. The
 # zero-alloc acceptance rows (RMW and gate admission) must show
 # allocs_per_op 0 here; scripts/benchdiff.sh holds the committed
-# baseline to that.
+# baseline to that. The -cpu list is clamped to the host's core count
+# (nproc): a row with more Ps than cores is oversubscribed, so its
+# "speedup" measures timeslicing, not scaling. Every document's header
+# records that core count as "nproc".
 #
 # Knobs:
 #   GSTM_BENCH          benchmark regex    (default: the micro set)
@@ -49,7 +52,8 @@
 #   GSTM_ONLINE_BENCHTIME  -benchtime for the Online suite (default: 1s)
 #   GSTM_OVERLOAD_BENCHTIME  -benchtime for the Overload suite (default: 1s)
 #   GSTM_SCALE_BENCHTIME  -benchtime for the Scale suite (default: 100ms)
-#   GSTM_SCALE_CPUS     -cpu list for the Scale suite (default: 1,2,4,8)
+#   GSTM_SCALE_CPUS     -cpu list for the Scale suite (default: 1,2,4,8;
+#                       values above nproc are dropped)
 #   GSTM_BENCH_FULL     non-empty adds the paper-table/figure suites at
 #                       -benchtime=1x (slow; report-shaped, not latency-
 #                       shaped, so they are excluded from the default set)
@@ -73,7 +77,13 @@ rofast_benchtime="${GSTM_ROFAST_BENCHTIME:-2s}"
 online_benchtime="${GSTM_ONLINE_BENCHTIME:-1s}"
 overload_benchtime="${GSTM_OVERLOAD_BENCHTIME:-1s}"
 scale_benchtime="${GSTM_SCALE_BENCHTIME:-100ms}"
-scale_cpus="${GSTM_SCALE_CPUS:-1,2,4,8}"
+ncpu="$(nproc)"
+scale_cpus_req="${GSTM_SCALE_CPUS:-1,2,4,8}"
+scale_cpus="$(echo "$scale_cpus_req" | tr ',' '\n' | awk -v n="$ncpu" '$1 + 0 >= 1 && $1 + 0 <= n' | paste -sd, -)"
+if [ -z "$scale_cpus" ]; then
+    echo "bench.sh: no -cpu value in GSTM_SCALE_CPUS=$scale_cpus_req fits this host's $ncpu cores" >&2
+    exit 1
+fi
 
 # write_json <benchtime> <outpath> — reads raw `go test -bench` output
 # on stdin and writes the machine-stamped JSON document. When the
@@ -83,6 +93,7 @@ scale_cpus="${GSTM_SCALE_CPUS:-1,2,4,8}"
 write_json() {
     awk \
         -v go_version="$(go version | awk '{print $3}')" \
+        -v nproc="$ncpu" \
         -v benchtime="$1" \
         -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 /^goos:/  { goos = $2 }
@@ -114,6 +125,7 @@ END {
     printf "  \"goos\": \"%s\",\n", goos
     printf "  \"goarch\": \"%s\",\n", goarch
     printf "  \"cpu\": \"%s\",\n", cpu
+    printf "  \"nproc\": %d,\n", nproc
     printf "  \"benchtime\": \"%s\",\n", benchtime
     printf "  \"benchmarks\": [\n%s\n  ]\n}\n", rows
 }' > "$2"
@@ -127,6 +139,7 @@ END {
 write_metrics_json() {
     awk \
         -v go_version="$(go version | awk '{print $3}')" \
+        -v nproc="$ncpu" \
         -v benchtime="$1" \
         -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 /^goos:/  { goos = $2 }
@@ -150,6 +163,7 @@ END {
     printf "  \"goos\": \"%s\",\n", goos
     printf "  \"goarch\": \"%s\",\n", goarch
     printf "  \"cpu\": \"%s\",\n", cpu
+    printf "  \"nproc\": %d,\n", nproc
     printf "  \"benchtime\": \"%s\",\n", benchtime
     printf "  \"benchmarks\": [\n%s\n  ]\n}\n", rows
 }' > "$2"
@@ -163,6 +177,7 @@ END {
 write_scale_json() {
     awk \
         -v go_version="$(go version | awk '{print $3}')" \
+        -v nproc="$ncpu" \
         -v benchtime="$1" \
         -v cpus="$2" \
         -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
@@ -196,6 +211,7 @@ END {
     printf "  \"goos\": \"%s\",\n", goos
     printf "  \"goarch\": \"%s\",\n", goarch
     printf "  \"cpu\": \"%s\",\n", cpu
+    printf "  \"nproc\": %d,\n", nproc
     printf "  \"benchtime\": \"%s\",\n", benchtime
     printf "  \"cpus\": \"%s\",\n", cpus
     printf "  \"benchmarks\": [\n%s\n  ]\n}\n", rows
@@ -234,7 +250,7 @@ echo "$overload_raw"
 echo "$overload_raw" | write_metrics_json "$overload_benchtime" "$overload_out"
 echo "== wrote $overload_out =="
 
-echo "== bench: multi-core scalability (benchtime $scale_benchtime, cpus $scale_cpus) =="
+echo "== bench: multi-core scalability (benchtime $scale_benchtime, cpus $scale_cpus of $scale_cpus_req, nproc $ncpu) =="
 scale_raw="$(go test -run='^$' -bench '^BenchmarkScale' -benchtime "$scale_benchtime" -benchmem -cpu "$scale_cpus" .)"
 echo "$scale_raw"
 echo "$scale_raw" | write_scale_json "$scale_benchtime" "$scale_cpus" "$scale_out"
