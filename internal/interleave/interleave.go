@@ -1,7 +1,8 @@
 // Package interleave decides when the STM runtimes insert their
 // interleaving yields: the scheduler yields both runtimes make every
 // few transactional accesses and once at commit entry
-// (tl2.Options.YieldEvery, libtm.Options.YieldEvery).
+// (tl2.Options.YieldEvery, libtm.Options.YieldEvery), and TL2's
+// tl2.Tx.Preempt, which simulated work in transaction bodies offers.
 //
 // The yields exist for hosts with fewer cores than worker threads.
 // There a goroutine would otherwise run a whole short transaction

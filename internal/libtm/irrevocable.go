@@ -144,13 +144,15 @@ func (tx *Tx) lockIrrev(o *Obj) {
 			tx.stm.yield()
 			continue
 		}
-		for r := range o.readers {
-			if r == tx {
-				continue
+		if len(o.readers) != 0 {
+			for r := range o.readers {
+				if r == tx {
+					continue
+				}
+				r.killer.Store(tx.instance)
+				r.doomed.Store(true)
+				delete(o.readers, r)
 			}
-			r.killer.Store(tx.instance)
-			r.doomed.Store(true)
-			delete(o.readers, r)
 		}
 		o.writerInst = tx.instance
 		o.writerTx = tx

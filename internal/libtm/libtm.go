@@ -383,13 +383,13 @@ type Obj struct {
 	writerInst uint64         // instance holding the write lock (0 = none)
 	writerTx   *Tx            // the locking transaction
 	lastWriter uint64         // instance of the last committed writer
-	readers    map[*Tx]uint64 // visible readers → their instance
+	readers    map[*Tx]uint64 // visible readers → their instance; made on first registration
 	val        int64
 }
 
 // NewObj returns an Obj initialized to x.
 func NewObj(x int64) *Obj {
-	return &Obj{val: x, readers: make(map[*Tx]uint64)}
+	return &Obj{val: x}
 }
 
 // NewFloatObj returns an Obj initialized to the bit pattern of f.
@@ -582,6 +582,9 @@ func (tx *Tx) Read(o *Obj) int64 {
 	}
 	v := o.val
 	if tx.stm.opts.Mode.Reads == VisibleReads {
+		if o.readers == nil {
+			o.readers = make(map[*Tx]uint64)
+		}
 		if _, already := o.readers[tx]; !already {
 			o.readers[tx] = tx.instance
 			tx.visReads = append(tx.visReads, o)
@@ -661,9 +664,11 @@ func (tx *Tx) lockForWrite(o *Obj) {
 		}
 		// Resolve visible readers (other than ourselves).
 		others := 0
-		for r := range o.readers {
-			if r != tx {
-				others++
+		if len(o.readers) != 0 {
+			for r := range o.readers {
+				if r != tx {
+					others++
+				}
 			}
 		}
 		if others == 0 || tx.stm.opts.Mutate.SkipReaderWait {

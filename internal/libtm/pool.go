@@ -16,8 +16,9 @@ import (
 // Pooling is safe for writing transactions too, not just certified
 // read-only ones, because every externally visible registration of the
 // descriptor pointer dies before AtomicPri returns: visible-reader
-// entries are deleted under o.mu by releaseVisibleReads on every exit
-// path (commit, abort, user error, escalation), write locks are
+// entries (only VisibleReads mode registers any; o.readers is made on
+// the first) are deleted under o.mu by releaseVisibleReads on every
+// exit path (commit, abort, user error, escalation), write locks are
 // released by commit/cleanupAfterAbort/commitIrrev the same way, and a
 // writer can only doom a descriptor while it is still registered in
 // o.readers — so no stale doom can reach a recycled Tx. The one path

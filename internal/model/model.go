@@ -34,6 +34,9 @@ type Node struct {
 	Out map[string]int
 	// Total is the sum of all outbound counts.
 	Total int
+	// key is the node's canonical state key, so AddRun can count an
+	// edge into it without building the string again.
+	key string
 }
 
 // Prob returns the transition probability from this node to the given
@@ -123,18 +126,25 @@ func Build(threads int, runs ...[]tts.State) *TSA {
 }
 
 // AddRun folds one profile run's transaction sequence into the model.
+// States are looked up through one reused key buffer, so a state the
+// model already holds costs no allocation.
 func (m *TSA) AddRun(seq []tts.State) {
-	var prevKey string
-	for i, st := range seq {
-		key := st.Key()
-		node := m.ensure(key, st)
-		if i > 0 {
-			from := m.Nodes[prevKey]
-			from.Out[key]++
-			from.Total++
+	var buf []byte
+	var prev *Node
+	for _, st := range seq {
+		buf = st.AppendKey(buf[:0])
+		node := m.Nodes[string(buf)]
+		if node == nil {
+			node = m.ensure(string(buf), st)
+		} else if node.key == "" {
+			// Built outside this package (lint's prior synthesizer).
+			node.key = string(buf)
 		}
-		_ = node
-		prevKey = key
+		if prev != nil {
+			prev.Out[node.key]++
+			prev.Total++
+		}
+		prev = node
 	}
 }
 
@@ -143,7 +153,7 @@ func (m *TSA) ensure(key string, st tts.State) *Node {
 	if !ok {
 		cp := tts.State{Commit: st.Commit, Aborts: append([]tts.Pair(nil), st.Aborts...)}
 		cp.Canonicalize()
-		n = &Node{State: cp, Out: make(map[string]int)}
+		n = &Node{State: cp, Out: make(map[string]int), key: key}
 		m.Nodes[key] = n
 	}
 	return n

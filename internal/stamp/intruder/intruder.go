@@ -172,7 +172,7 @@ func (w *Workload) Thread(s *tl2.STM, thread int) {
 			copy(w.assembled[flow][off:off+w.p.fragSize],
 				w.payloads[flow][off:off+w.p.fragSize])
 			_ = s.Atomic(th, 1, func(tx *tl2.Tx) error {
-				stamp.Spin(256) // header decode + checksum
+				stamp.Spin(tx, 256) // header decode + checksum
 				n, _ := w.progress.Get(tx, int64(flow))
 				n++
 				w.progress.Put(tx, int64(flow), n)

@@ -152,7 +152,7 @@ func (w *Workload) Thread(s *tl2.STM, thread int) {
 				break // walled in: no path exists right now
 			}
 			err := s.Atomic(uint16(thread), 0, func(tx *tl2.Tx) error {
-				stamp.Spin(16 * len(path)) // wavefront bookkeeping in the original's tx
+				stamp.Spin(tx, 16*len(path)) // wavefront bookkeeping in the original's tx
 				for _, c := range path {
 					if w.grid.Get(tx, c) != 0 {
 						return errCellTaken // invalidated: replan

@@ -93,7 +93,7 @@ func (w *Workload) Thread(s *tl2.STM, thread int) {
 	for i := lo; i < hi; i++ {
 		src, dst := w.srcs[i], w.dsts[i]
 		_ = s.Atomic(uint16(thread), 0, func(tx *tl2.Tx) error {
-			stamp.Spin(64) // edge endpoint computation
+			stamp.Spin(tx, 64) // edge endpoint computation
 			d := w.deg.Get(tx, src)
 			if d >= int64(w.p.maxDeg) {
 				return nil // degree cap reached: drop edge (counted below)

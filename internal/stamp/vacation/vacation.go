@@ -90,7 +90,7 @@ func (w *Workload) Thread(s *tl2.STM, thread int) {
 		switch r := rng.Intn(10); {
 		case r < 8:
 			_ = s.Atomic(th, 0, func(tx *tl2.Tx) error {
-				stamp.Spin(384) // tree lookups across the relations
+				stamp.Spin(tx, 384) // tree lookups across the relations
 				f := w.free[table].Get(tx, item)
 				if f <= 0 {
 					return nil // sold out; committed no-op
@@ -104,7 +104,7 @@ func (w *Workload) Thread(s *tl2.STM, thread int) {
 			// Cancel a random earlier customer of this thread.
 			victim := int64(thread*w.p.ops + rng.Intn(op+1))
 			_ = s.Atomic(th, 1, func(tx *tl2.Tx) error {
-				stamp.Spin(384) // customer record scan
+				stamp.Spin(tx, 384) // customer record scan
 				packed, ok := w.customers.Get(tx, victim)
 				if !ok {
 					return nil
@@ -118,7 +118,7 @@ func (w *Workload) Thread(s *tl2.STM, thread int) {
 			})
 		default:
 			_ = s.Atomic(th, 2, func(tx *tl2.Tx) error {
-				stamp.Spin(384) // table maintenance
+				stamp.Spin(tx, 384) // table maintenance
 				w.free[table].Set(tx, item, w.free[table].Get(tx, item)+1)
 				tx.Write(w.added, tx.Read(w.added)+1)
 				return nil

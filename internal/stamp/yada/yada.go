@@ -136,7 +136,7 @@ func (w *Workload) Thread(s *tl2.STM, thread int) {
 		}
 
 		_ = s.Atomic(th, 1, func(tx *tl2.Tx) error {
-			stamp.Spin(512) // cavity retriangulation
+			stamp.Spin(tx, 512) // cavity retriangulation
 			for _, c := range w.cavities[item] {
 				w.grid.Set(tx, c, w.grid.Get(tx, c)+1)
 			}

@@ -159,7 +159,8 @@ type Options struct {
 	// accesses only while the highest thread ID seen, plus one, exceeds
 	// GOMAXPROCS sampled at New, and not at all otherwise (see
 	// internal/interleave and Interleaving). Positive always yields;
-	// negative never does.
+	// negative never does. The same decision gates Tx.Preempt, the
+	// suspension point of simulated work inside transaction bodies.
 	YieldEvery int
 	// Inject, when non-nil, arms the deterministic fault-injection
 	// hooks in the commit path (fault.CommitAbort, fault.CommitDelay,
@@ -186,11 +187,12 @@ type Options struct {
 	WatchdogWindow time.Duration
 	// Yield, when non-nil, replaces runtime.Gosched at every
 	// scheduler-visible suspension point — transactional accesses
-	// (YieldEvery), commit entry, lock-acquisition spins, abort
-	// backoff, irrevocable token waits and quiesce. internal/sched's
-	// deterministic explorer installs its cooperative-scheduler hook
-	// here to serialize goroutine interleavings under a seed. Nil (the
-	// default) keeps the stock runtime.Gosched behaviour.
+	// (YieldEvery), simulated work in bodies (Tx.Preempt), commit
+	// entry, lock-acquisition spins, abort backoff, irrevocable token
+	// waits and quiesce. internal/sched's deterministic explorer
+	// installs its cooperative-scheduler hook here to serialize
+	// goroutine interleavings under a seed. Nil (the default) keeps
+	// the stock runtime.Gosched behaviour.
 	Yield func()
 	// Manifest registers a sealed static-effect manifest (produced by
 	// `gstmlint -manifest`, loaded with effect.ReadFile). Transaction
@@ -528,6 +530,17 @@ func (tx *Tx) maybeYield() {
 func (tx *Tx) yieldEvery() {
 	tx.ops++
 	if tx.ops%tx.stm.yields.Every() == 0 {
+		tx.stm.yield()
+	}
+}
+
+// Preempt is a suspension point for transaction bodies that model long
+// computation between accesses (stamp.Spin). It yields through the
+// runtime's yield (Options.Yield, else runtime.Gosched) exactly when
+// the attempt's accesses would (see Options.YieldEvery), so simulated
+// work is preempted only on hosts with fewer cores than worker threads.
+func (tx *Tx) Preempt() {
+	if tx.yielding {
 		tx.stm.yield()
 	}
 }

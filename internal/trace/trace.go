@@ -116,21 +116,33 @@ func (c *Collector) Sequence() (seq []tts.State, unattributed int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	byInstance := make(map[uint64]int, len(c.commits))
+	// Index only the instances some abort names as its killer: a
+	// profile run has far fewer distinct killers than commits. When an
+	// instance committed more than once, the last commit anchors it.
+	killers := make(map[uint64]int)
+	for _, a := range c.aborts {
+		if a.killer != 0 {
+			killers[a.killer] = -1
+		}
+	}
 	seq = make([]tts.State, len(c.commits))
 	for i, cr := range c.commits {
-		byInstance[cr.instance] = i
 		seq[i] = tts.State{Commit: cr.pair}
+		if _, ok := killers[cr.instance]; ok {
+			killers[cr.instance] = i
+		}
 	}
 	for _, a := range c.aborts {
-		if i, ok := byInstance[a.killer]; ok && a.killer != 0 {
+		if i, ok := killers[a.killer]; ok && i >= 0 {
 			seq[i].Aborts = append(seq[i].Aborts, a.pair)
 		} else {
 			unattributed++
 		}
 	}
 	for i := range seq {
-		seq[i].Canonicalize()
+		if len(seq[i].Aborts) > 1 {
+			seq[i].Canonicalize()
+		}
 	}
 	return seq, unattributed
 }

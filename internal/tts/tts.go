@@ -55,17 +55,19 @@ type State struct {
 	Aborts []Pair
 }
 
+// pairLess is the canonical abort order: by tx, then thread.
+func pairLess(a, b Pair) bool {
+	if a.Tx != b.Tx {
+		return a.Tx < b.Tx
+	}
+	return a.Thread < b.Thread
+}
+
 // Canonicalize sorts the abort list into the canonical order (by tx,
 // then thread) so that equal states always produce equal keys. It
 // returns the receiver for chaining.
 func (s *State) Canonicalize() *State {
-	sort.Slice(s.Aborts, func(i, j int) bool {
-		a, b := s.Aborts[i], s.Aborts[j]
-		if a.Tx != b.Tx {
-			return a.Tx < b.Tx
-		}
-		return a.Thread < b.Thread
-	})
+	sort.Slice(s.Aborts, func(i, j int) bool { return pairLess(s.Aborts[i], s.Aborts[j]) })
 	return s
 }
 
@@ -74,35 +76,30 @@ const pairBytes = 4
 
 // Key returns the canonical binary encoding of the state, suitable as a
 // map key: commit pair first, then the sorted abort pairs, each as
-// 4 bytes big-endian. Key does not mutate the receiver; the abort list
-// is sorted into a scratch copy if needed.
+// 4 bytes big-endian. Key does not mutate the receiver.
 func (s State) Key() string {
+	return string(s.AppendKey(make([]byte, 0, pairBytes*(1+len(s.Aborts)))))
+}
+
+// AppendKey appends the state's canonical key (see Key) to dst and
+// returns the extended slice. It does not mutate the receiver: an
+// abort list out of canonical order is sorted into a scratch copy.
+func (s State) AppendKey(dst []byte) []byte {
 	aborts := s.Aborts
-	if !sort.SliceIsSorted(aborts, func(i, j int) bool {
-		a, b := aborts[i], aborts[j]
-		if a.Tx != b.Tx {
-			return a.Tx < b.Tx
+	for i := 1; i < len(aborts); i++ {
+		if pairLess(aborts[i], aborts[i-1]) {
+			aborts = append([]Pair(nil), aborts...)
+			sort.Slice(aborts, func(i, j int) bool { return pairLess(aborts[i], aborts[j]) })
+			break
 		}
-		return a.Thread < b.Thread
-	}) {
-		aborts = append([]Pair(nil), aborts...)
-		sort.Slice(aborts, func(i, j int) bool {
-			a, b := aborts[i], aborts[j]
-			if a.Tx != b.Tx {
-				return a.Tx < b.Tx
-			}
-			return a.Thread < b.Thread
-		})
 	}
-	buf := make([]byte, pairBytes*(1+len(aborts)))
-	binary.BigEndian.PutUint16(buf[0:], s.Commit.Tx)
-	binary.BigEndian.PutUint16(buf[2:], s.Commit.Thread)
-	for i, a := range aborts {
-		off := pairBytes * (i + 1)
-		binary.BigEndian.PutUint16(buf[off:], a.Tx)
-		binary.BigEndian.PutUint16(buf[off+2:], a.Thread)
+	dst = binary.BigEndian.AppendUint16(dst, s.Commit.Tx)
+	dst = binary.BigEndian.AppendUint16(dst, s.Commit.Thread)
+	for _, a := range aborts {
+		dst = binary.BigEndian.AppendUint16(dst, a.Tx)
+		dst = binary.BigEndian.AppendUint16(dst, a.Thread)
 	}
-	return string(buf)
+	return dst
 }
 
 // ParseKey decodes a canonical key produced by State.Key.

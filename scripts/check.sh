@@ -4,8 +4,11 @@
 # Runs, in order: formatting, go vet (including the -copylocks guard
 # backing tl2.Var/libtm.Obj's no-copy contract), build + full test
 # suite (shuffled, so inter-test ordering dependencies can't hide),
-# the race detector over both STM runtimes plus the fault matrix
-# (injected aborts/stalls must never deadlock the gate), a race-mode
+# go vet + go test inside the end-to-end benchmark module perfbench/
+# (its own go.mod, so ./... never reaches it, yet it imports
+# internal/* and breaks on any signature change there), the race
+# detector over both STM runtimes plus the fault matrix (injected
+# aborts/stalls must never deadlock the gate), a race-mode
 # smoke of the schedule explorer and its oracle/scheduler stack
 # (-short trims the schedule budgets), a bounded online-controller
 # soak under the race detector (the streaming learner building epoch
@@ -51,6 +54,11 @@ go vet ./...
 echo "== build + tests (shuffled) =="
 go build ./...
 go test -shuffle=on ./...
+
+echo "== perfbench module (vet + tests) =="
+# Offline, with the module settings perfbench/run.sh builds under.
+(cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off &&
+    go vet . && go test .)
 
 echo "== race detector (STM runtimes + fault matrix) =="
 go test -race ./internal/tl2 ./internal/libtm
